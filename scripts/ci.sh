@@ -43,7 +43,10 @@ if [[ "$SANITIZE" == "thread" ]]; then
   # (cache_determinism_test; its Heavy suite stays out for time).
   # ThreadPoolTest (thread_pool_test: exception-safe pool + ParallelFor) and
   # ServeTest (serve_test: multi-tenant server, shared-cache workers,
-  # overload shedding, graceful drain) ride along — the server IS threads.
+  # overload shedding, graceful drain, one cached Program run by several
+  # workers at once) ride along — the server IS threads. SessionTest joins
+  # for SharedProgramRunsOnTwoSessionsConcurrently, the Program
+  # immutability check; the rest of that suite is single-threaded and cheap.
   # RedundancyTest and FusionTest join for the static planner: probe-verdict
   # stamping and cost-planned fusion must stay invisible to 8-worker parfor
   # runs (results, lineage, and cache behavior are compared across worker
@@ -54,7 +57,7 @@ if [[ "$SANITIZE" == "thread" ]]; then
   # threads) — exactly the cross-thread traffic TSan should watch. Under
   # ASan the full suite runs, which is what makes the corruption fuzz an
   # ASan gate (ISSUE acceptance: fail closed, never read out of bounds).
-  TSAN_TESTS='^(ParforTest|ParforDependencyTest|LineageCacheTest|MultiLevelTest|CacheConcurrencyTest|CacheDeterminismTest|ThreadPoolTest|ParallelBudgetTest|ServeTest|RedundancyTest|FusionTest|PersistRoundtripTest|PersistCorruptionTest|WarmStartTest)\.'
+  TSAN_TESTS='^(ParforTest|ParforDependencyTest|LineageCacheTest|MultiLevelTest|CacheConcurrencyTest|CacheDeterminismTest|ThreadPoolTest|ParallelBudgetTest|ServeTest|SessionTest|RedundancyTest|FusionTest|PersistRoundtripTest|PersistCorruptionTest|WarmStartTest)\.'
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
     --tests-regex "$TSAN_TESTS"
 else
@@ -212,12 +215,31 @@ done
   || { echo "serve smoke: divergent outputs" >&2; exit 1; }
 grep -q "checksum: " "$BUILD_DIR/ci_serve_out.1" \
   || { echo "serve smoke: missing output" >&2; exit 1; }
+# A repeated request must be served from the compiled-plan cache with the
+# same output as its first, compiled run.
+cat > "$BUILD_DIR/ci_serve_plan.dml" <<'EOF'
+v = seq(1, 12, 1);
+print("plan: " + sum(v ^ 2));
+EOF
+for i in 1 2; do
+  "$BUILD_DIR/tools/lima_serve" --socket="$SERVE_SOCK" --call --tenant=plan \
+    "$BUILD_DIR/ci_serve_plan.dml" > "$BUILD_DIR/ci_serve_plan_out.$i" \
+    2> "$BUILD_DIR/ci_serve_plan_meta.$i" \
+    || { echo "serve smoke: plan request $i failed" >&2; exit 1; }
+done
+grep -qx "plan_cache=hit" "$BUILD_DIR/ci_serve_plan_meta.2" \
+  || { echo "serve smoke: repeated request missed the plan cache" >&2; exit 1; }
+cmp -s "$BUILD_DIR/ci_serve_plan_out.1" "$BUILD_DIR/ci_serve_plan_out.2" \
+  || { echo "serve smoke: cached plan changed the output" >&2; exit 1; }
 # The shared cache must have produced cross-tenant reuse.
 "$BUILD_DIR/tools/lima_serve" --socket="$SERVE_SOCK" --call --op=stats \
   2> "$BUILD_DIR/ci_serve_stats.txt" || { echo "serve smoke: stats op failed" >&2; exit 1; }
 grep "cross_tenant_hits" "$BUILD_DIR/ci_serve_stats.txt" \
   | grep -qv "=0$" \
   || { echo "serve smoke: no cross-tenant hits recorded" >&2; exit 1; }
+plan_hits=$(sed -n 's/^plan_cache_hits=//p' "$BUILD_DIR/ci_serve_stats.txt")
+[[ "${plan_hits:-0}" -ge 1 ]] \
+  || { echo "serve smoke: stats reports no plan-cache hits" >&2; exit 1; }
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "serve smoke: daemon exited nonzero" >&2; exit 1; }
 grep -q "bye" "$BUILD_DIR/ci_serve.log" \

@@ -45,6 +45,10 @@ LimaSession::LimaSession(LimaConfig config,
 Status LimaSession::Run(const std::string& script) {
   LIMA_ASSIGN_OR_RETURN(std::unique_ptr<Program> program,
                         CompileScript(script, config_));
+  return Run(std::shared_ptr<const Program>(std::move(program)));
+}
+
+Status LimaSession::Run(std::shared_ptr<const Program> program) {
   if (config_.verify_mode != VerifyMode::kOff) {
     last_verify_report_ = VerifyProgram(*program, MakeVerifyOptions());
     if (config_.verify_mode == VerifyMode::kStrict &&

@@ -62,6 +62,14 @@ class LimaSession {
   /// first; kStrict fails the run on verification errors.
   Status Run(const std::string& script);
 
+  /// Executes an already compiled program (CompileScript) against this
+  /// session's variables, exactly as Run(script) does after compiling.
+  /// Programs are immutable once compiled (runtime/program.h), so one
+  /// program may run on many sessions at once; verification under
+  /// config.verify_mode still runs on every call, because it depends on the
+  /// variables bound on this session.
+  Status Run(std::shared_ptr<const Program> program);
+
   /// Compiles `script` and runs the static verifier without executing it.
   /// Session-bound variables count as defined. Compile failures surface as
   /// an error status; verification findings live in the returned report.
@@ -148,8 +156,9 @@ class LimaSession {
   ExecutionContext context_;
   VerifyReport last_verify_report_;
   /// Executed programs are kept alive: cached bundles may hold lineage that
-  /// references their dedup patches.
-  std::vector<std::unique_ptr<Program>> programs_;
+  /// references their dedup patches. Shared: a program may also live in a
+  /// plan cache and run on other sessions.
+  std::vector<std::shared_ptr<const Program>> programs_;
 };
 
 }  // namespace lima

@@ -313,6 +313,65 @@ void ScanDeterminism(const std::vector<BlockPtr>& blocks, bool* has_nondet,
   }
 }
 
+// Reachability for PruneUnreachableFunctions: appends the static callees of
+// `blocks` (predicates included) to `callees`. Returns false on an eval,
+// whose callee is only known at run time.
+bool CollectCallees(const BasicBlock& block,
+                    std::vector<std::string>* callees) {
+  for (const auto& instruction : block.instructions()) {
+    if (const auto* call = dynamic_cast<const FunctionCallInstruction*>(
+            instruction.get())) {
+      callees->push_back(call->function_name());
+    } else if (dynamic_cast<const EvalInstruction*>(instruction.get()) !=
+               nullptr) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool CollectCallees(const std::vector<BlockPtr>& blocks,
+                    std::vector<std::string>* callees) {
+  for (const BlockPtr& block : blocks) {
+    switch (block->kind()) {
+      case BlockKind::kBasic:
+        if (!CollectCallees(static_cast<const BasicBlock&>(*block), callees)) {
+          return false;
+        }
+        break;
+      case BlockKind::kIf: {
+        const auto& if_block = static_cast<const IfBlock&>(*block);
+        if (!CollectCallees(if_block.predicate().block(), callees) ||
+            !CollectCallees(if_block.then_blocks(), callees) ||
+            !CollectCallees(if_block.else_blocks(), callees)) {
+          return false;
+        }
+        break;
+      }
+      case BlockKind::kFor:
+      case BlockKind::kParFor: {
+        const auto& for_block = static_cast<const ForBlock&>(*block);
+        if (!CollectCallees(for_block.from().block(), callees) ||
+            !CollectCallees(for_block.to().block(), callees) ||
+            !CollectCallees(for_block.incr().block(), callees) ||
+            !CollectCallees(for_block.body(), callees)) {
+          return false;
+        }
+        break;
+      }
+      case BlockKind::kWhile: {
+        const auto& while_block = static_cast<const WhileBlock&>(*block);
+        if (!CollectCallees(while_block.predicate().block(), callees) ||
+            !CollectCallees(while_block.body(), callees)) {
+          return false;
+        }
+        break;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 BodyVars AnalyzeBodyVars(const std::vector<BlockPtr>& blocks) {
@@ -356,6 +415,39 @@ void AnalyzeProgram(Program* program) {
   for (const auto& [name, fn] : program->functions()) {
     fn->set_deterministic(deterministic[name]);
   }
+}
+
+int PruneUnreachableFunctions(Program* program) {
+  std::unordered_set<std::string> reachable;
+  std::vector<std::string> pending;
+  if (!CollectCallees(program->main(), &pending)) return 0;
+  while (!pending.empty()) {
+    const std::string name = std::move(pending.back());
+    pending.pop_back();
+    const Function* fn = program->GetFunction(name);
+    if (fn == nullptr || !reachable.insert(name).second) continue;
+    if (!CollectCallees(fn->body(), &pending)) return 0;
+  }
+
+  std::vector<std::string> unreachable;
+  for (const auto& [name, fn] : program->functions()) {
+    if (reachable.count(name) == 0) unreachable.push_back(name);
+  }
+  for (const std::string& name : unreachable) program->RemoveFunction(name);
+
+  auto dropped = [&reachable](const std::string& scope) {
+    return scope != "main" && reachable.count(scope) == 0;
+  };
+  StaticPlan* plan = program->mutable_static_plan();
+  std::erase_if(plan->instrs, [&](const StaticPlanInstr& row) {
+    return dropped(row.function);
+  });
+  std::erase_if(plan->fusion_sites, [&](const StaticFusionSite& site) {
+    return dropped(site.function);
+  });
+  plan->instrs.shrink_to_fit();
+  plan->fusion_sites.shrink_to_fit();
+  return static_cast<int>(unreachable.size());
 }
 
 }  // namespace lima

@@ -28,6 +28,16 @@ BodyVars AnalyzeBodyVars(const std::vector<BlockPtr>& blocks);
 ///    eval, and only deterministic callees) for multi-level reuse.
 void AnalyzeProgram(Program* program);
 
+/// Drops every function that main cannot reach through the transitive
+/// closure of its fcall instructions (predicates included), together with
+/// the static-plan instruction rows and fusion sites recorded for those
+/// functions. The plan's summary counters keep describing the program as
+/// analyzed. Prunes nothing when reachable code contains an eval, which
+/// resolves function names at run time. Unreachable code never executes, so
+/// outputs and lineage do not change. Returns the number of functions
+/// dropped.
+int PruneUnreachableFunctions(Program* program);
+
 }  // namespace lima
 
 #endif  // LIMA_RUNTIME_ANALYSIS_H_

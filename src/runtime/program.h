@@ -287,6 +287,18 @@ class Function {
 };
 
 /// A compiled script: a function registry plus the main block sequence.
+///
+/// Immutability contract: a Program is immutable once CompileScript returns.
+/// Every compile pass (fusion, compiler-assisted unmarking, liveness, parfor
+/// dependency analysis, static planning) rewrites it through the mutable_*
+/// accessors before that point; the one const_cast on program code
+/// (compiler-assisted unmarking, reuse/compiler_assist.cc) also runs inside
+/// compile. Execute() and every ProgramBlock, Predicate and Instruction
+/// reached from it are const and keep their per-run state in the
+/// ExecutionContext. One compiled Program may therefore Execute on many
+/// contexts at once, as lima_serve's plan cache does (docs/CONCURRENCY.md).
+/// Mutators (mutable_*, AddFunction, RemoveFunction) must not be called
+/// while any context executes it.
 class Program {
  public:
   Program() = default;
@@ -295,6 +307,9 @@ class Program {
 
   /// Registers a function (replaces an existing definition).
   void AddFunction(std::unique_ptr<Function> fn);
+
+  /// Drops a function definition (no-op when undefined).
+  void RemoveFunction(const std::string& name) { functions_.erase(name); }
 
   /// nullptr when undefined.
   const Function* GetFunction(const std::string& name) const;

@@ -50,6 +50,11 @@ Status ReadExact(int fd, char* buf, size_t len, bool* eof_at_start) {
     ssize_t n = ::read(fd, buf + done, len - done);
     if (n < 0) {
       if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        // SO_RCVTIMEO expired (lima_serve's per-connection read deadline).
+        return Status::IoError(
+            "protocol: read deadline exceeded waiting for peer data");
+      }
       return Status::IoError(std::string("protocol: read failed: ") +
                              std::strerror(errno));
     }

@@ -14,8 +14,10 @@
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "lang/compiler.h"
 #include "lang/session.h"
 #include "persist/query.h"
+#include "runtime/analysis.h"
 
 namespace lima {
 namespace serve {
@@ -37,7 +39,64 @@ std::vector<std::string> Tokenize(const std::string& line) {
   return tokens;
 }
 
+/// The LimaConfig fields CompileStatements reads, one bit each: the config
+/// half of a plan-cache key.
+char CompileConfigKey(const LimaConfig& config) {
+  return static_cast<char>((config.redundancy_check ? 1 : 0) |
+                           (config.operator_fusion ? 2 : 0) |
+                           (config.reuse_enabled() ? 4 : 0) |
+                           (config.compiler_assist ? 8 : 0) |
+                           (config.parfor_dependency_check ? 16 : 0));
+}
+
 }  // namespace
+
+Result<PlanCache::Lookup> PlanCache::GetOrCompile(const std::string& script,
+                                                  const LimaConfig& config) {
+  std::string key(1, CompileConfigKey(config));
+  key += script;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      ++hits_;
+      return Lookup{it->second->program, /*hit=*/true};
+    }
+    ++misses_;
+  }
+  // Compile outside the lock: a miss must not stall other workers' hits.
+  LIMA_ASSIGN_OR_RETURN(std::unique_ptr<Program> compiled,
+                        CompileScript(scripts::Builtins() + script, config));
+  PruneUnreachableFunctions(compiled.get());
+  std::shared_ptr<const Program> program = std::move(compiled);
+
+  std::shared_ptr<const Program> evicted;  // released after the unlock
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it != index_.end()) {
+    return Lookup{it->second->program, /*hit=*/false};  // a racer won
+  }
+  lru_.push_front(Entry{std::move(key), program});
+  index_.emplace(lru_.front().key, lru_.begin());
+  if (lru_.size() > kCapacity) {
+    index_.erase(lru_.back().key);
+    evicted = std::move(lru_.back().program);
+    lru_.pop_back();
+    ++evictions_;
+  }
+  return Lookup{std::move(program), /*hit=*/false};
+}
+
+PlanCache::Stats PlanCache::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  Stats stats;
+  stats.hits = hits_;
+  stats.misses = misses_;
+  stats.entries = static_cast<int64_t>(lru_.size());
+  stats.evictions = evictions_;
+  return stats;
+}
 
 Result<ServeOptions> LoadServeOptionsFile(const std::string& path,
                                           ServeOptions base) {
@@ -346,10 +405,17 @@ void LimaServer::WorkerLoop(int worker_id) {
 }
 
 void LimaServer::ServeConnection(int fd) {
+  // Read deadline: an idle or stalled client gets an error instead of
+  // holding this worker. It bounds each wait for request bytes.
+  struct timeval read_timeout;
+  read_timeout.tv_sec = kRequestReadTimeoutSec;
+  read_timeout.tv_usec = 0;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &read_timeout,
+               sizeof(read_timeout));
   Result<Message> request = ReadMessage(fd);
   if (!request.ok()) {
-    // Malformed or hung-up client: answer if the socket still works, but
-    // never let one bad connection take the worker down.
+    // Malformed, hung-up or idle client: answer if the socket still works,
+    // but never let one bad connection take the worker down.
     Message response;
     response.Set("status", "error");
     response.Set("error", request.status().ToString());
@@ -412,12 +478,13 @@ Message LimaServer::HandleRun(const Message& request) {
   std::shared_ptr<LineageCache> cache = CacheForTenant(tenant);
   LimaSession session(config, cache);
   StopWatch watch;
-  Status status;
-  {
+  Result<PlanCache::Lookup> plan = plan_cache_.GetOrCompile(*script, config);
+  Status status = plan.status();
+  if (plan.ok()) {
     // All cache traffic of this request — including parfor workers, which
     // inherit the tag — is charged to the tenant.
     LineageCache::TenantScope scope(cache.get(), tenant);
-    status = session.Run(scripts::Builtins() + *script);
+    status = session.Run(plan->program);
   }
   const double seconds = watch.ElapsedSeconds();
 
@@ -437,6 +504,7 @@ Message LimaServer::HandleRun(const Message& request) {
     }
   }
   response.Set("tenant", tenant);
+  response.Set("plan_cache", plan.ok() && plan->hit ? "hit" : "miss");
   response.Set("elapsed_us",
                std::to_string(static_cast<int64_t>(seconds * 1e6)));
   const RuntimeStats* stats = session.stats();
@@ -481,6 +549,11 @@ Message LimaServer::HandleStats() {
   response.Set("shed", std::to_string(c.shed));
   response.Set("completed", std::to_string(c.completed));
   response.Set("failed", std::to_string(c.failed));
+  const PlanCache::Stats plans = plan_cache_.stats();
+  response.Set("plan_cache_hits", std::to_string(plans.hits));
+  response.Set("plan_cache_misses", std::to_string(plans.misses));
+  response.Set("plan_cache_entries", std::to_string(plans.entries));
+  response.Set("plan_cache_evictions", std::to_string(plans.evictions));
   if (!options_.store_dir.empty()) {
     response.Set("warm_start", warm_start_.warm ? "1" : "0");
     response.Set("warm_entries", std::to_string(warm_start_.entries));

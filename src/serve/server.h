@@ -5,9 +5,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -18,6 +20,7 @@
 #include "common/status.h"
 #include "persist/snapshot.h"
 #include "reuse/lineage_cache.h"
+#include "runtime/program.h"
 #include "serve/protocol.h"
 
 namespace lima {
@@ -79,9 +82,63 @@ struct ServeOptions {
 Result<ServeOptions> LoadServeOptionsFile(const std::string& path,
                                           ServeOptions base);
 
+/// Compile once, serve many: a bounded LRU cache of compiled programs keyed
+/// by (exact script text, the compile-relevant LimaConfig fields). A hit
+/// skips parse and compile; every worker then runs the same immutable
+/// Program (runtime/program.h) on its own session. Thread-safe.
+class PlanCache {
+ public:
+  /// Entries kept; the least recently used one is evicted beyond this.
+  static constexpr size_t kCapacity = 64;
+
+  struct Stats {
+    int64_t hits = 0;
+    int64_t misses = 0;
+    int64_t entries = 0;
+    int64_t evictions = 0;
+  };
+
+  struct Lookup {
+    std::shared_ptr<const Program> program;
+    bool hit = false;
+  };
+
+  /// The program compiled from scripts::Builtins() + `script` under
+  /// `config`. A miss compiles exactly as LimaSession::Run(source) does,
+  /// prunes functions main cannot reach (PruneUnreachableFunctions) and
+  /// inserts the result; when two callers race on one key, the first insert
+  /// wins and both run its program. Compile errors are returned and not
+  /// cached. Lookup compares the full script text, never just its hash.
+  Result<Lookup> GetOrCompile(const std::string& script,
+                              const LimaConfig& config);
+
+  Stats stats() const;
+
+ private:
+  struct Entry {
+    std::string key;  ///< ConfigKey byte + script text
+    std::shared_ptr<const Program> program;
+  };
+
+  mutable std::mutex mu_;
+  /// Most recently used first. list nodes are stable, so index_ keys view
+  /// into Entry::key.
+  std::list<Entry> lru_;
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
+  int64_t hits_ = 0;
+  int64_t misses_ = 0;
+  int64_t evictions_ = 0;
+};
+
+/// A worker waits this long for a connection's request bytes before
+/// answering it with an error, so an idle or stalled client cannot hold a
+/// pool worker (and with pool_size=1, the whole server) indefinitely.
+constexpr int kRequestReadTimeoutSec = 2;
+
 /// Multi-tenant DML execution daemon: accepts framed requests (protocol.h)
 /// over a Unix-domain socket and executes each "run" op on a fresh
-/// LimaSession attached to the shared lineage cache, inside a
+/// LimaSession attached to the shared lineage cache, running a compiled
+/// program from the plan cache (compiled on a miss), inside a
 /// LineageCache::TenantScope so the cache charges bytes and hits to the
 /// requesting tenant. One request per connection (connect → request →
 /// response → close), which keeps admission control trivial: a connection
@@ -129,6 +186,9 @@ class LimaServer {
   const persist::WarmStartReport& warm_start_report() const {
     return warm_start_;
   }
+
+  /// Compiled-plan cache counters (also reported by the stats op).
+  PlanCache::Stats plan_cache_stats() const { return plan_cache_.stats(); }
 
   /// Snapshots written so far (Stop() + periodic). Relaxed read.
   int64_t snapshots_taken() const {
@@ -185,6 +245,8 @@ class LimaServer {
   std::atomic<int64_t> shed_{0};
   std::atomic<int64_t> completed_{0};
   std::atomic<int64_t> failed_{0};
+
+  PlanCache plan_cache_;
 
   /// Persistence state (set at Start when options_.store_dir is non-empty).
   persist::WarmStartReport warm_start_;

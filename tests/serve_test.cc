@@ -1,17 +1,28 @@
 #include "serve/server.h"
 
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "algorithms/scripts.h"
 #include "common/config.h"
+#include "common/timer.h"
 #include "gtest/gtest.h"
+#include "lang/compiler.h"
 #include "lang/session.h"
+#include "runtime/analysis.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 
@@ -32,6 +43,26 @@ constexpr const char* kScript =
     "X = rand(rows=24, cols=24, seed=11);"
     "Y = X %*% t(X);"
     "print(sum(Y) + sum(X));";
+
+/// The uncached reference: a standalone session that prepends Builtins() to
+/// `script` and compiles it on the spot.
+Result<std::string> UncachedOutput(const std::string& script) {
+  LimaSession session(LimaConfig::Serving());
+  LIMA_RETURN_NOT_OK(session.Run(scripts::Builtins() + script));
+  return session.ConsumeOutput();
+}
+
+Message Stats(const std::string& socket_path) {
+  Message request;
+  request.Set("op", "stats");
+  Result<Message> report = Call(socket_path, request);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? *report : Message();
+}
+
+int64_t Field(const Message& message, const std::string& key) {
+  return std::stoll(message.Get(key, "-1"));
+}
 
 TEST(ServeTest, MessageRoundTrip) {
   Message in;
@@ -353,6 +384,307 @@ TEST(ServeTest, LoadServeOptionsFileParsesAndRejects) {
   }
   EXPECT_FALSE(LoadServeOptionsFile(path, ServeOptions()).ok());
   std::remove(path.c_str());
+}
+
+// Cached plans give byte-identical output to an uncached compile, on the
+// first request (plan-cache miss) and the second (hit), for every bundled
+// script and one script of each light request kind of the serve benchmark.
+TEST(ServeTest, PlanCacheOutputMatchesUncachedSession) {
+  std::vector<std::string> scripts_to_check;
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(LIMA_SOURCE_DIR) + "/scripts")) {
+    if (entry.path().extension() == ".dml") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  ASSERT_FALSE(paths.empty());
+  for (const std::filesystem::path& path : paths) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    scripts_to_check.push_back(text.str());
+  }
+  scripts_to_check.push_back("a = 2.5;\nb = (a * 3 + 1) / 2;\n"
+                             "print(\"light \" + b);\n");
+  scripts_to_check.push_back(
+      "M = rand(rows=12, cols=5, min=0, max=1, seed=42);\n"
+      "print(\"light \" + sum(M));\n");
+  scripts_to_check.push_back("v = seq(1, 17, 1);\n"
+                             "print(\"light \" + sum(v ^ 2) / 17);\n");
+  scripts_to_check.push_back("M = matrix(-3.25, 9, 4);\n"
+                             "print(\"light \" + sum(t(M) %*% M));\n");
+
+  ServeOptions options;
+  options.socket_path = SocketPath("plan_exact");
+  options.pool_size = 2;
+  LimaServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  for (const std::string& script : scripts_to_check) {
+    Result<std::string> expected = UncachedOutput(script);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ASSERT_FALSE(expected->empty()) << script;
+    for (const char* want : {"miss", "hit"}) {
+      Result<Message> run = RunScript(options.socket_path, "t", script);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run->Get("plan_cache"), want) << script;
+      EXPECT_EQ(run->Get("output"), *expected) << want << "\n" << script;
+    }
+  }
+  const PlanCache::Stats plans = server.plan_cache_stats();
+  EXPECT_EQ(plans.misses, static_cast<int64_t>(scripts_to_check.size()));
+  EXPECT_EQ(plans.hits, static_cast<int64_t>(scripts_to_check.size()));
+  server.Stop();
+}
+
+// Concurrent workers run one cached Program at once, each on its own
+// session, with identical output; racing misses insert one entry.
+TEST(ServeTest, PlanCacheServesConcurrentClients) {
+  ServeOptions options;
+  options.socket_path = SocketPath("plan_concurrent");
+  options.pool_size = 4;
+  options.queue_capacity = 64;
+  LimaServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  Result<Message> first = RunScript(options.socket_path, "t0", kScript);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->Get("plan_cache"), "miss");
+  std::atomic<int> mismatches{0};
+  std::atomic<int> hits{0};
+  std::vector<std::thread> clients;
+  for (int i = 1; i < 8; ++i) {
+    clients.emplace_back([&, i] {
+      Result<Message> response = RunScript(
+          options.socket_path, "t" + std::to_string(i % 4), kScript);
+      if (!response.ok() || response->Get("output") != first->Get("output")) {
+        mismatches.fetch_add(1);
+      }
+      if (response.ok() && response->Get("plan_cache") == "hit") {
+        hits.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(hits.load(), 7);
+  Message report = Stats(options.socket_path);
+  EXPECT_EQ(Field(report, "plan_cache_misses"), 1);
+  EXPECT_EQ(Field(report, "plan_cache_hits"), 7);
+  EXPECT_EQ(Field(report, "plan_cache_entries"), 1);
+
+  // Simultaneous first requests for a new script may all miss and compile;
+  // the first insert wins and the cache holds one entry for it.
+  const std::string racer = "R = rand(rows=30, cols=30, seed=4);"
+                            "print(sum(R %*% R));";
+  Result<std::string> expected = UncachedOutput(racer);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  clients.clear();
+  for (int i = 0; i < 4; ++i) {
+    clients.emplace_back([&] {
+      Result<Message> response = RunScript(options.socket_path, "r", racer);
+      if (!response.ok() || response->Get("output") != *expected) {
+        mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const PlanCache::Stats plans = server.plan_cache_stats();
+  EXPECT_EQ(plans.entries, 2);
+  EXPECT_EQ(plans.hits + plans.misses, 12);
+  server.Stop();
+}
+
+// The key covers exactly the LimaConfig fields the compiler reads.
+TEST(ServeTest, PlanCacheKeyCoversCompileRelevantConfig) {
+  const std::string script = "x = sum(rand(rows=4, cols=4, seed=1));";
+  const LimaConfig base = LimaConfig::Serving();
+  PlanCache cache;
+  auto hit = [&](const LimaConfig& config) {
+    Result<PlanCache::Lookup> lookup = cache.GetOrCompile(script, config);
+    EXPECT_TRUE(lookup.ok()) << lookup.status().ToString();
+    return lookup.ok() && lookup->hit;
+  };
+  EXPECT_FALSE(hit(base));
+  EXPECT_TRUE(hit(base));
+
+  const std::vector<std::function<void(LimaConfig*)>> compile_relevant = {
+      [](LimaConfig* c) { c->redundancy_check = !c->redundancy_check; },
+      [](LimaConfig* c) { c->operator_fusion = !c->operator_fusion; },
+      [](LimaConfig* c) { c->reuse_mode = ReuseMode::kNone; },
+      [](LimaConfig* c) { c->compiler_assist = !c->compiler_assist; },
+      [](LimaConfig* c) {
+        c->parfor_dependency_check = !c->parfor_dependency_check;
+      },
+  };
+  for (size_t i = 0; i < compile_relevant.size(); ++i) {
+    LimaConfig changed = base;
+    compile_relevant[i](&changed);
+    EXPECT_FALSE(hit(changed)) << "field " << i;
+    EXPECT_TRUE(hit(changed)) << "field " << i;
+  }
+
+  // Fields the compiler does not read share the base entry.
+  LimaConfig runtime_only = base;
+  runtime_only.parfor_workers = 3;
+  runtime_only.cache_budget_bytes = 1 << 20;
+  runtime_only.reuse_mode = ReuseMode::kMultiLevel;
+  EXPECT_TRUE(hit(runtime_only));
+  EXPECT_EQ(cache.stats().entries,
+            static_cast<int64_t>(compile_relevant.size()) + 1);
+}
+
+// The cache holds kCapacity entries and evicts the least recently used.
+TEST(ServeTest, PlanCacheEvictsLeastRecentlyUsed) {
+  ServeOptions options;
+  options.socket_path = SocketPath("plan_lru");
+  options.pool_size = 1;
+  LimaServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  auto script = [](size_t i) { return "print(" + std::to_string(i) + ");"; };
+  auto plan_cache = [&](size_t i) {
+    Result<Message> run = RunScript(options.socket_path, "t", script(i));
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
+    return run.ok() ? run->Get("plan_cache") : std::string();
+  };
+  for (size_t i = 0; i < PlanCache::kCapacity; ++i) {
+    ASSERT_EQ(plan_cache(i), "miss");
+  }
+  EXPECT_EQ(plan_cache(0), "hit");  // 0 becomes most recently used
+  EXPECT_EQ(plan_cache(PlanCache::kCapacity), "miss");  // evicts 1
+
+  Message report = Stats(options.socket_path);
+  EXPECT_EQ(Field(report, "plan_cache_entries"),
+            static_cast<int64_t>(PlanCache::kCapacity));
+  EXPECT_EQ(Field(report, "plan_cache_evictions"), 1);
+  EXPECT_EQ(plan_cache(0), "hit");
+  EXPECT_EQ(plan_cache(1), "miss");
+  server.Stop();
+}
+
+// A script that fails to compile gets today's error and is not cached.
+TEST(ServeTest, PlanCacheSkipsCompileErrors) {
+  const std::string bad = "x = undefined_function(3);";
+  LimaSession reference(LimaConfig::Serving());
+  const Status expected = reference.Run(scripts::Builtins() + bad);
+  ASSERT_FALSE(expected.ok());
+
+  ServeOptions options;
+  options.socket_path = SocketPath("plan_error");
+  options.pool_size = 1;
+  LimaServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  Message request;
+  request.Set("op", "run");
+  request.Set("script", bad);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    Result<Message> response = Call(options.socket_path, request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->Get("status"), "error");
+    EXPECT_EQ(response->Get("error"), expected.ToString());
+    EXPECT_EQ(response->Get("plan_cache"), "miss");
+  }
+  const PlanCache::Stats plans = server.plan_cache_stats();
+  EXPECT_EQ(plans.entries, 0);
+  EXPECT_EQ(plans.misses, 2);
+  server.Stop();
+}
+
+// Pruning keeps exactly the functions main reaches through fcall (also in
+// predicates and transitively), and keeps everything once eval can reach
+// functions by name at run time.
+TEST(ServeTest, PlanCachePruningRespectsEval) {
+  const std::string functions = R"(
+    leaf = function(Matrix A) return (Matrix B) { B = A * 2; }
+    inner = function(Matrix A) return (Matrix B) { B = leaf(A) + 1; }
+    count = function(Double k) return (Double r) { r = k + 1; }
+    unused = function(Matrix A) return (Matrix B) { B = A - 1; }
+  )";
+  const std::string direct = functions + R"(
+    k = 0;
+    while (count(k) < 3) { k = k + 1; }
+    print("direct " + sum(inner(matrix(1, 2, 2))) + " " + k);
+  )";
+  const std::string dynamic = functions + R"(
+    C = eval("unused", list(matrix(5, 2, 2)));
+    print("eval " + sum(C));
+  )";
+  const LimaConfig config = LimaConfig::Serving();
+
+  Result<std::unique_ptr<Program>> pruned =
+      CompileScript(scripts::Builtins() + direct, config);
+  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+  const size_t all = (*pruned)->functions().size();
+  EXPECT_EQ(PruneUnreachableFunctions(pruned->get()),
+            static_cast<int>(all) - 3);
+  for (const char* name : {"leaf", "inner", "count"}) {
+    EXPECT_NE((*pruned)->GetFunction(name), nullptr) << name;
+  }
+  for (const StaticPlanInstr& row : (*pruned)->static_plan().instrs) {
+    EXPECT_TRUE(row.function == "main" || row.function == "leaf" ||
+                row.function == "inner" || row.function == "count")
+        << row.function;
+  }
+
+  Result<std::unique_ptr<Program>> kept =
+      CompileScript(scripts::Builtins() + dynamic, config);
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  EXPECT_EQ(PruneUnreachableFunctions(kept->get()), 0);
+  EXPECT_EQ((*kept)->functions().size(), all);
+
+  ServeOptions options;
+  options.socket_path = SocketPath("plan_eval");
+  options.pool_size = 1;
+  LimaServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  for (const std::string& script : {direct, dynamic}) {
+    Result<std::string> expected = UncachedOutput(script);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    for (const char* want : {"miss", "hit"}) {
+      Result<Message> run = RunScript(options.socket_path, "t", script);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run->Get("plan_cache"), want);
+      EXPECT_EQ(run->Get("output"), *expected);
+    }
+  }
+  server.Stop();
+}
+
+// With one worker, a client that connects and sends nothing must not keep
+// the next client waiting beyond the read deadline; the idle connection is
+// answered with an error and counted as failed.
+TEST(ServeTest, IdleClientCannotWedgeSingleWorker) {
+  ServeOptions options;
+  options.socket_path = SocketPath("idle");
+  options.pool_size = 1;
+  LimaServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+
+  int idle = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(idle, 0);
+  sockaddr_un addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, options.socket_path.c_str(),
+              options.socket_path.size() + 1);
+  ASSERT_EQ(::connect(idle, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  while (server.counters().accepted < 1) std::this_thread::yield();
+
+  StopWatch watch;
+  Result<Message> run = RunScript(options.socket_path, "busy", kScript);
+  const double seconds = watch.ElapsedSeconds();
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_LT(seconds, kRequestReadTimeoutSec + 3.0);
+
+  Result<Message> answer = ReadMessage(idle);
+  ::close(idle);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->Get("status"), "error");
+  EXPECT_NE(answer->Get("error").find("read deadline"), std::string::npos)
+      << answer->Get("error");
+  EXPECT_EQ(server.counters().failed, 1);
+  server.Stop();
 }
 
 }  // namespace

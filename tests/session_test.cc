@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
+#include <thread>
+#include <unordered_map>
+
+#include "analysis/redundancy.h"
+#include "lang/compiler.h"
 #include "matrix/datagen.h"
 
 namespace lima {
@@ -208,6 +214,80 @@ TEST(SessionTest, LineageBuiltinFailsWithoutTracing) {
   LimaSession session(LimaConfig::Base());
   Status status = session.Run("x = 1 + 1; l = lineage(x);");
   EXPECT_FALSE(status.ok());
+}
+
+/// Renumbers the "(N)" item ids of a lineage log by first appearance. Ids
+/// come from a process-wide counter, so equal DAGs traced at different times
+/// differ only in them.
+std::string RenumberIds(const std::string& log) {
+  static const std::regex kId(R"(\((\d+)\))");
+  std::unordered_map<std::string, size_t> ids;
+  std::string out;
+  size_t last = 0;
+  for (auto it = std::sregex_iterator(log.begin(), log.end(), kId);
+       it != std::sregex_iterator(); ++it) {
+    out.append(log, last, it->position() - last);
+    auto [id, inserted] = ids.emplace(it->str(1), ids.size());
+    out += "(" + std::to_string(id->second) + ")";
+    last = it->position() + it->length();
+  }
+  out.append(log, last);
+  return out;
+}
+
+// A compiled Program is immutable (runtime/program.h): one program running
+// on two sessions from two threads at once must give each the output and
+// lineage a fresh Run(script) gives, and leave the program's static plan as
+// compiled.
+TEST(SessionTest, SharedProgramRunsOnTwoSessionsConcurrently) {
+  const std::string script = R"(
+    gram = function(Matrix A) return (Matrix G) {
+      G = t(A) %*% A + 1;
+    }
+    X = rand(rows=40, cols=6, seed=3);
+    s = 0;
+    for (i in 1:6) {
+      if (i %% 2 == 0) { s = s + sum(gram(X * i)); } else { s = s - i; }
+    }
+    P = matrix(0, 6, 3);
+    parfor (j in 1:3) {
+      G = gram(X + j);
+      P[, j] = G[, j];
+    }
+    R = gram(X) %*% P;
+    print("s=" + s + " r=" + sum(R));
+  )";
+  const LimaConfig config = LimaConfig::Lima();
+  LimaSession reference(config);
+  ASSERT_TRUE(reference.Run(script).ok());
+  const std::string expected_output = reference.ConsumeOutput();
+  const std::string expected_lineage =
+      RenumberIds(*reference.GetLineage("R"));
+
+  Result<std::unique_ptr<Program>> compiled = CompileScript(script, config);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  std::shared_ptr<const Program> program = std::move(*compiled);
+  const std::string plan_before = StaticPlanToJson(program->static_plan());
+
+  std::string outputs[2], lineages[2];
+  Status statuses[2];
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      LimaSession session(config);
+      statuses[t] = session.Run(program);
+      outputs[t] = session.ConsumeOutput();
+      Result<std::string> lineage = session.GetLineage("R");
+      if (lineage.ok()) lineages[t] = RenumberIds(*lineage);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < 2; ++t) {
+    ASSERT_TRUE(statuses[t].ok()) << statuses[t].ToString();
+    EXPECT_EQ(outputs[t], expected_output);
+    EXPECT_EQ(lineages[t], expected_lineage);
+  }
+  EXPECT_EQ(StaticPlanToJson(program->static_plan()), plan_before);
 }
 
 }  // namespace
