@@ -22,6 +22,7 @@
 #include "matrix/datagen.h"
 #include "matrix/elementwise.h"
 #include "matrix/matmul.h"
+#include "matrix/matmul_kernels.h"
 
 namespace lima {
 namespace {
@@ -123,22 +124,14 @@ void KernelScalingParforGridsearch(benchmark::State& state) {
 BENCHMARK(KernelScalingParforGridsearch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-/// Row-range GEMM used by the small-kernel loops below (the same i-k-j
-/// loop the matrix kernels use internally).
+/// Row-range GEMM used by the small-kernel loops below: the row-range
+/// kernel behind MatMul.
 void GemmRowRange(const Matrix& a, const Matrix& b, Matrix* out,
                   int64_t row_begin, int64_t row_end) {
-  const int64_t k = a.cols();
-  const int64_t n = b.cols();
-  const double* pa = a.data();
-  const double* pb = b.data();
-  double* po = out->mutable_data();
-  for (int64_t i = row_begin; i < row_end; ++i) {
-    for (int64_t j = 0; j < n; ++j) po[i * n + j] = 0.0;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      double av = pa[i * k + kk];
-      for (int64_t j = 0; j < n; ++j) po[i * n + j] += av * pb[kk * n + j];
-    }
-  }
+  matmul_internal::ActiveKernels().gemm(a.data(), b.data(),
+                                        out->mutable_data(), row_begin,
+                                        row_end, a.cols(), b.cols(),
+                                        /*upper=*/false);
 }
 
 /// The pre-refactor ParallelFor: spawn num_threads-1 transient std::threads

@@ -57,7 +57,10 @@ if [[ "$SANITIZE" == "thread" ]]; then
   # threads) — exactly the cross-thread traffic TSan should watch. Under
   # ASan the full suite runs, which is what makes the corruption fuzz an
   # ASan gate (ISSUE acceptance: fail closed, never read out of bounds).
-  TSAN_TESTS='^(ParforTest|ParforDependencyTest|LineageCacheTest|MultiLevelTest|CacheConcurrencyTest|CacheDeterminismTest|ThreadPoolTest|ParallelBudgetTest|ServeTest|SessionTest|RedundancyTest|FusionTest|PersistRoundtripTest|PersistCorruptionTest|WarmStartTest)\.'
+  # MatMulTest and Isa/MatMulKernelTest (matrix_test) cover the multiply
+  # kernels, which run under RunChunks: MultithreadedMatchesSingle runs
+  # every kernel on 1-, 2- and 4-unit budgets.
+  TSAN_TESTS='^(ParforTest|ParforDependencyTest|LineageCacheTest|MultiLevelTest|CacheConcurrencyTest|CacheDeterminismTest|ThreadPoolTest|ParallelBudgetTest|ServeTest|SessionTest|RedundancyTest|FusionTest|PersistRoundtripTest|PersistCorruptionTest|WarmStartTest|MatMulTest|Isa/MatMulKernelTest)\.'
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
     --tests-regex "$TSAN_TESTS"
 else

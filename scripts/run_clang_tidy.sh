@@ -26,10 +26,11 @@ if [[ ${#PATHS[@]} -eq 0 ]]; then
   # liveness, verifier, parfor dependency analysis, redundancy planner) and
   # src/serve (the lima_serve daemon) — plus the command-line tools and the
   # catalog-refactor surface in src/runtime (the factory and its replay
-  # consumer).
+  # consumer), and the dense multiply kernels.
   PATHS=("$ROOT/src/lineage" "$ROOT/src/reuse" "$ROOT/src/analysis"
          "$ROOT/src/obs" "$ROOT/src/serve" "$ROOT/tools"
          "$ROOT/src/common/parallel.cc"
+         "$ROOT/src/matrix/matmul.cc"
          "$ROOT/src/runtime/instruction_factory.cc"
          "$ROOT/src/runtime/reconstruct.cc")
 fi

@@ -7,10 +7,25 @@
 
 namespace lima {
 
-/// Dense matrix multiply A (m x k) * B (k x n). Cache-blocked i-k-j loop
-/// order; rows are partitioned into cost-model-sized chunks executed under
-/// `par`'s budget lease (sequential when par is null — identical bytes
-/// either way). Returns InvalidArgument on an inner-dimension mismatch.
+// Kernels. All three operations run on one register-blocked microkernel
+// template (matmul.cc): wide outputs hold a 4-row tile of vector
+// accumulators across the inner dimension, skinny outputs (fewer than 4
+// columns) vectorize across output rows instead. The template is compiled
+// with 32-byte vectors for AVX2 and with 16-byte vectors for the baseline
+// ISA; the AVX2 build is chosen once per process when the CPU supports it
+// (x86-64 only), with no configuration knob.
+//
+// Summation-order contract, the same for both builds and every budget:
+// each output cell is ((+0.0 + a0*b0) + a1*b1) + ... in ascending inner
+// index, with a separate multiply and add (no FMA, no zero skipping, so
+// 0 * Inf is NaN as in cellwise `*`). The reductions over input rows
+// (TransposeMatMul, left Tsmm) sum fixed row chunks in that order and fold
+// the chunk partials in ascending chunk order. See docs/CONCURRENCY.md.
+
+/// Dense matrix multiply A (m x k) * B (k x n). Output rows are partitioned
+/// into cost-model-sized chunks of whole row blocks, executed under `par`'s
+/// budget lease (sequential when par is null — identical bytes either way).
+/// Returns InvalidArgument on an inner-dimension mismatch.
 Result<Matrix> MatMul(const Matrix& a, const Matrix& b,
                       const ParallelContext* par = nullptr);
 

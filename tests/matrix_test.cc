@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 
+#include "analysis/cost_model.h"
 #include "common/parallel.h"
 #include "matrix/aggregates.h"
 #include "matrix/datagen.h"
@@ -10,6 +13,7 @@
 #include "matrix/factorize.h"
 #include "matrix/indexing.h"
 #include "matrix/matmul.h"
+#include "matrix/matmul_kernels.h"
 #include "matrix/reorg.h"
 #include "matrix/sparse_matrix.h"
 
@@ -31,6 +35,35 @@ Matrix ReferenceMatMul(const Matrix& a, const Matrix& b) {
     }
   }
   return out;
+}
+
+// Same shape and the same bytes in every cell.
+bool SameBytes(const Matrix& got, const Matrix& want) {
+  return got.rows() == want.rows() && got.cols() == want.cols() &&
+         (got.size() == 0 ||
+          std::memcmp(got.data(), want.data(), sizeof(double) * got.size()) ==
+              0);
+}
+
+// SameBytes restricted to the upper triangle (column >= row) of a square
+// result: the symmetric kernels compute only that part.
+bool SameUpperBytes(const Matrix& got, const Matrix& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols()) return false;
+  for (int64_t i = 0; i < got.rows(); ++i) {
+    for (int64_t j = i; j < got.cols(); ++j) {
+      double g = got.At(i, j);
+      double w = want.At(i, j);
+      if (std::memcmp(&g, &w, sizeof(double)) != 0) return false;
+    }
+  }
+  return true;
+}
+
+// True when the cost model plans one chunk for this much work. The
+// reduction kernels (t(A)B, left tsmm) then add every cell's terms in plain
+// ascending order, exactly like ReferenceMatMul.
+bool SingleChunk(double flops, double bytes) {
+  return PlanParallelChunks(flops, bytes) <= 1;
 }
 
 TEST(MatrixTest, ConstructionAndAccess) {
@@ -197,7 +230,8 @@ TEST_P(MatMulSizes, MatchesReference) {
   Matrix b = RandomMatrix(k, n, 2);
   Result<Matrix> fast = MatMul(a, b);
   ASSERT_TRUE(fast.ok());
-  EXPECT_TRUE(fast->EqualsApprox(ReferenceMatMul(a, b), 1e-9));
+  // Output rows never share a sum, so the bytes match at any chunk count.
+  EXPECT_TRUE(SameBytes(*fast, ReferenceMatMul(a, b)));
 }
 
 TEST_P(MatMulSizes, TsmmMatchesTransposedProduct) {
@@ -205,7 +239,11 @@ TEST_P(MatMulSizes, TsmmMatchesTransposedProduct) {
   (void)n;
   Matrix x = RandomMatrix(m, k, 3);
   Matrix expected = ReferenceMatMul(Transpose(x), x);
-  EXPECT_TRUE(Tsmm(x, true).EqualsApprox(expected, 1e-9));
+  Matrix got = Tsmm(x, true);
+  EXPECT_TRUE(got.EqualsApprox(expected, 1e-9));
+  if (SingleChunk(1.0 * m * k * k, 8.0 * (m * k + k * k))) {
+    EXPECT_TRUE(SameBytes(got, expected));
+  }
 }
 
 TEST_P(MatMulSizes, TransposeMatMulMatchesReference) {
@@ -214,7 +252,11 @@ TEST_P(MatMulSizes, TransposeMatMulMatchesReference) {
   Matrix b = RandomMatrix(m, n, 5);
   Result<Matrix> r = TransposeMatMul(a, b);
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->EqualsApprox(ReferenceMatMul(Transpose(a), b), 1e-9));
+  Matrix expected = ReferenceMatMul(Transpose(a), b);
+  EXPECT_TRUE(r->EqualsApprox(expected, 1e-9));
+  if (SingleChunk(2.0 * m * k * n, 8.0 * (m * k + m * n + k * n))) {
+    EXPECT_TRUE(SameBytes(*r, expected));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, MatMulSizes,
@@ -229,22 +271,35 @@ TEST(MatMulTest, InnerDimensionMismatchRejected) {
   EXPECT_FALSE(TransposeMatMul(Matrix(2, 3), Matrix(3, 2)).ok());
 }
 
+// Every kernel's output at every parallelism budget: null (inline), 1, 2
+// and 4 units. Shapes are large enough to be split into several chunks.
 TEST(MatMulTest, MultithreadedMatchesSingle) {
-  Matrix a = RandomMatrix(200, 40, 6);
-  Matrix b = RandomMatrix(40, 30, 7);
-  // Parallel execution (budget handle) must produce the same bytes as the
-  // null-context sequential path — the kernels chunk identically either way.
-  ParallelBudget budget(4);
-  ParallelContext par(&budget);
-  Result<Matrix> parallel = MatMul(a, b, &par);
-  Result<Matrix> sequential = MatMul(a, b);
-  ASSERT_TRUE(parallel.ok());
-  ASSERT_TRUE(sequential.ok());
-  EXPECT_EQ(0, std::memcmp(parallel->data(), sequential->data(),
-                           sizeof(double) * parallel->size()));
-  Matrix tp = Tsmm(a, true, &par);
-  Matrix ts = Tsmm(a, true);
-  EXPECT_EQ(0, std::memcmp(tp.data(), ts.data(), sizeof(double) * tp.size()));
+  struct Shape {
+    int64_t m, k, n;
+  };
+  const Shape shapes[] = {{200, 40, 30},  {2000, 60, 1},    {997, 33, 17},
+                          {1500, 100, 5}, {301, 300, 299}, {4000, 40, 3}};
+  ParallelBudget one(1), two(2), four(4);
+  ParallelContext p1(&one), p2(&two), p4(&four);
+  for (const Shape& s : shapes) {
+    SCOPED_TRACE(std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
+                 std::to_string(s.n));
+    Matrix a = RandomMatrix(s.m, s.k, 11);
+    Matrix b = RandomMatrix(s.k, s.n, 12);
+    Matrix c = RandomMatrix(s.m, s.n, 13);
+    Matrix mm = *MatMul(a, b);
+    Matrix tmm = *TransposeMatMul(a, c);
+    Matrix left = Tsmm(a, true);
+    Matrix right = Tsmm(b, false);
+    ASSERT_FALSE(SingleChunk(2.0 * s.m * s.k * s.n,
+                             8.0 * (s.m * s.k + s.k * s.n + s.m * s.n)));
+    for (const ParallelContext* par : {&p1, &p2, &p4}) {
+      EXPECT_TRUE(SameBytes(*MatMul(a, b, par), mm));
+      EXPECT_TRUE(SameBytes(*TransposeMatMul(a, c, par), tmm));
+      EXPECT_TRUE(SameBytes(Tsmm(a, true, par), left));
+      EXPECT_TRUE(SameBytes(Tsmm(b, false, par), right));
+    }
+  }
 }
 
 TEST(MatMulTest, TsmmRightIsGramOfRows) {
@@ -252,6 +307,128 @@ TEST(MatMulTest, TsmmRightIsGramOfRows) {
   Matrix expected = ReferenceMatMul(x, Transpose(x));
   EXPECT_TRUE(Tsmm(x, false).EqualsApprox(expected, 1e-9));
 }
+
+// IEEE propagation: 0 * Inf is NaN in a product exactly as in `*`; no
+// kernel skips zero operands.
+TEST(MatMulTest, ZeroTimesInfinityIsNaN) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Matrix zeros(2, 2);
+  Matrix infs(2, 2, inf);
+  Matrix mm = *MatMul(zeros, infs);
+  Matrix tmm = *TransposeMatMul(zeros, infs);
+  for (int64_t i = 0; i < mm.size(); ++i) {
+    EXPECT_TRUE(std::isnan(mm.data()[i]));
+    EXPECT_TRUE(std::isnan(tmm.data()[i]));
+  }
+  // X = cbind(zeros, Inf): t(X) %*% X = [0 NaN; NaN Inf].
+  Matrix x(3, 2, {0, inf, 0, inf, 0, inf});
+  Matrix left = Tsmm(x, true);
+  EXPECT_EQ(left.At(0, 0), 0.0);
+  EXPECT_TRUE(std::isnan(left.At(0, 1)));
+  EXPECT_TRUE(std::isnan(left.At(1, 0)));
+  EXPECT_EQ(left.At(1, 1), inf);
+  // X %*% t(X) on the rows of t(X): the same pattern.
+  Matrix right = Tsmm(Transpose(x), false);
+  EXPECT_EQ(right.At(0, 0), 0.0);
+  EXPECT_TRUE(std::isnan(right.At(0, 1)));
+  EXPECT_TRUE(std::isnan(right.At(1, 0)));
+  EXPECT_EQ(right.At(1, 1), inf);
+}
+
+// ---- MatMul kernel instantiations ------------------------------------------
+
+// Runs each ISA instantiation of the microkernels directly, whatever the
+// dispatcher would pick on this CPU.
+class MatMulKernelTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    kernels_ = GetParam() == "avx2" ? matmul_internal::Avx2Kernels()
+                                    : &matmul_internal::BaselineKernels();
+    if (kernels_ == nullptr) GTEST_SKIP() << "CPU lacks AVX2";
+  }
+
+  Matrix Gemm(const Matrix& a, const Matrix& b, bool upper = false) const {
+    Matrix out(a.rows(), b.cols());
+    kernels_->gemm(a.data(), b.data(), out.mutable_data(), 0, a.rows(),
+                   a.cols(), b.cols(), upper);
+    return out;
+  }
+
+  Matrix Tgemm(const Matrix& a, const Matrix& b, bool upper = false) const {
+    Matrix out(a.cols(), b.cols());
+    kernels_->tgemm(a.data(), b.data(), out.mutable_data(), 0, a.rows(),
+                    a.cols(), b.cols(), upper);
+    return out;
+  }
+
+  const matmul_internal::Kernels* kernels_ = nullptr;
+};
+
+// Every tile tail: m, k, n across vector widths, row blocks and strips,
+// including empty and single-row/column operands.
+TEST_P(MatMulKernelTest, ShapeSweepMatchesOrderedReference) {
+  const int dims[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33};
+  for (int m : dims) {
+    for (int k : dims) {
+      for (int n : dims) {
+        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
+                     std::to_string(n));
+        Matrix a = RandomMatrix(m, k, 100 + m);
+        Matrix b = RandomMatrix(k, n, 200 + n);
+        Matrix c = RandomMatrix(m, n, 300 + k);
+        ASSERT_TRUE(SameBytes(Gemm(a, b), ReferenceMatMul(a, b)));
+        ASSERT_TRUE(
+            SameBytes(Tgemm(a, c), ReferenceMatMul(Transpose(a), c)));
+      }
+      Matrix x = RandomMatrix(m, k, 400 + m * 40 + k);
+      Matrix xt = Transpose(x);
+      ASSERT_TRUE(SameUpperBytes(Tgemm(x, x, /*upper=*/true),
+                                 ReferenceMatMul(xt, x)));
+      ASSERT_TRUE(SameUpperBytes(Gemm(x, xt, /*upper=*/true),
+                                 ReferenceMatMul(x, xt)));
+    }
+  }
+}
+
+// Row ranges that split a row block: gemm rows are independent, and tgemm
+// accumulates onto `out`, so two ranges equal one ascending pass.
+TEST_P(MatMulKernelTest, SplitRowRangesMatchOnePass) {
+  for (int64_t n : {1, 3, 5, 16}) {
+    Matrix a = RandomMatrix(37, 19, 500 + n);
+    Matrix b = RandomMatrix(19, n, 600 + n);
+    Matrix c = RandomMatrix(37, n, 700 + n);
+    Matrix out(37, n);
+    kernels_->gemm(a.data(), b.data(), out.mutable_data(), 0, 13, 19, n,
+                   false);
+    kernels_->gemm(a.data(), b.data(), out.mutable_data(), 13, 37, 19, n,
+                   false);
+    EXPECT_TRUE(SameBytes(out, ReferenceMatMul(a, b)));
+    Matrix acc(19, n);
+    kernels_->tgemm(a.data(), c.data(), acc.mutable_data(), 0, 13, 19, n,
+                    false);
+    kernels_->tgemm(a.data(), c.data(), acc.mutable_data(), 13, 37, 19, n,
+                    false);
+    EXPECT_TRUE(SameBytes(acc, ReferenceMatMul(Transpose(a), c)));
+  }
+}
+
+TEST_P(MatMulKernelTest, ZeroTimesInfinityIsNaN) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int64_t n : {1, 2, 5, 9}) {
+    Matrix zeros(6, 6);
+    Matrix infs(6, n, inf);
+    Matrix mm = Gemm(zeros, infs);
+    Matrix tmm = Tgemm(zeros, infs);
+    for (int64_t i = 0; i < mm.size(); ++i) {
+      EXPECT_TRUE(std::isnan(mm.data()[i]));
+      EXPECT_TRUE(std::isnan(tmm.data()[i]));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, MatMulKernelTest,
+                         ::testing::Values("baseline", "avx2"),
+                         [](const auto& info) { return info.param; });
 
 // ---- Factorize -------------------------------------------------------------
 

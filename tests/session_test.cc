@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <regex>
 #include <thread>
 #include <unordered_map>
@@ -45,6 +46,36 @@ TEST(SessionTest, MatMulAndTsmm) {
   EXPECT_EQ(a->rows(), 5);
   EXPECT_EQ(a->cols(), 5);
   EXPECT_TRUE(a->IsSymmetric(1e-9));
+}
+
+// Matrix products follow IEEE propagation like the cellwise operators:
+// 0 * Inf is NaN whether it occurs in `*`, `%*%` or a tsmm, under Base and
+// under reuse.
+TEST(SessionTest, MatMulPropagatesNaNLikeCellwise) {
+  for (const LimaConfig& config : {LimaConfig::Base(), LimaConfig::Lima()}) {
+    LimaSession session(config);
+    Status status = session.Run(R"(
+      A = matrix(0, rows=2, cols=2);
+      B = matrix(1, rows=2, cols=2) / 0;
+      mm = sum(A %*% B);
+      ew = sum(A * B);
+      X = cbind(matrix(0, rows=3, cols=1), matrix(1, rows=3, cols=1) / 0);
+      G = t(X) %*% X;
+      Y = t(X);
+      R = Y %*% t(Y);
+    )");
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_TRUE(std::isnan(*session.GetDouble("mm")));
+    EXPECT_TRUE(std::isnan(*session.GetDouble("ew")));
+    // Both products are [0 NaN; NaN Inf].
+    for (const char* name : {"G", "R"}) {
+      MatrixPtr g = *session.GetMatrix(name);
+      EXPECT_EQ(g->At(0, 0), 0.0) << name;
+      EXPECT_TRUE(std::isnan(g->At(0, 1))) << name;
+      EXPECT_TRUE(std::isnan(g->At(1, 0))) << name;
+      EXPECT_TRUE(std::isinf(g->At(1, 1))) << name;
+    }
+  }
 }
 
 TEST(SessionTest, ControlFlow) {
